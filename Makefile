@@ -6,15 +6,14 @@ GO ?= go
 .PHONY: check
 check: build vet race shuffle cpu-matrix soak-smoke explore-smoke controlplane-smoke
 
-# Scheduler tests at -cpu 1 and 4: the turn lease, the spin-then-park grant
-# path, and OS-thread pinning behave differently with and without real
-# parallelism available (spinning is skipped at GOMAXPROCS 1), so both shapes
-# are exercised. The pinned-domain loop additionally runs under -race at
-# -cpu 4: pinning must introduce no new cross-thread accesses.
+# Scheduler tests at -cpu 1 and 4: the turn lease and the spin-then-park grant
+# path behave differently with and without real parallelism available
+# (spinning is skipped at GOMAXPROCS 1), so both shapes are exercised. The
+# cross-procs domain-neutrality loop additionally runs under -race at -cpu 4.
 .PHONY: cpu-matrix
 cpu-matrix:
 	$(GO) test -cpu 1,4 -count=1 ./internal/core ./internal/domain
-	$(GO) test -race -cpu 4 -count=1 -run 'TestPinnedDomainsScheduleNeutral|TestLeaseTraceNeutral' ./internal/harness
+	$(GO) test -race -cpu 4 -count=1 -run 'TestDomainsScheduleNeutralAcrossProcs|TestLeaseTraceNeutral' ./internal/harness
 
 # What .github/workflows/ci.yml runs: the full gate plus the performance
 # gate, which re-runs the BENCH_sched.json benchmarks at a short benchtime

@@ -69,7 +69,7 @@ func (b *Barrier) Wait(t *Thread) bool {
 			rel := b.vRelease
 			b.nmu.Unlock()
 			t.vMeet(rel)
-			t.vAdd(t.vCost())
+			t.vAdd(vSyncCostNondet)
 			b.ncv.Broadcast()
 			return true
 		}
@@ -79,7 +79,7 @@ func (b *Barrier) Wait(t *Thread) bool {
 		rel := b.vRelease
 		b.nmu.Unlock()
 		t.vMeet(rel)
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		return false
 	}
 	s := b.dom.enter(t, "barrier", b.name)

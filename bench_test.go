@@ -92,10 +92,10 @@ func BenchmarkMechanismLockUnlock(b *testing.B) {
 // BenchmarkPolicyDispatch measures the cost of the hook-based policy engine
 // on the mechanism's hottest path: one uncontended lock/unlock pair, which
 // dispatches OnAcquire, OnRelease, and KeepTurn on every iteration plus
-// PickNext on every turn handoff. "bitmask-*" configures via the legacy
-// Policies shim (compiled to a stack by DefaultStack); "stack-*" passes an
-// explicitly composed stack. The acceptance bar is staying within 10% of the
-// seed's interleaved bitmask branches (see EXPERIMENTS.md).
+// PickNext on every turn handoff. "bitmask-*" configures via the Policies
+// bitmask (compiled to the canonical stack by DefaultStack); "stack-*" passes
+// an explicitly composed stack. The acceptance bar is staying within 10% of
+// the seed's interleaved bitmask branches (see EXPERIMENTS.md).
 func BenchmarkPolicyDispatch(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
@@ -103,7 +103,6 @@ func BenchmarkPolicyDispatch(b *testing.B) {
 	}{
 		{"bitmask-none", qithread.Config{Mode: qithread.RoundRobin}},
 		{"bitmask-all", qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies}},
-		{"stack-all", qithread.Config{Mode: qithread.RoundRobin, Stack: policy.StackFromAdvice(policy.AllPolicies)}},
 		{"stack-cswhole", qithread.Config{Mode: qithread.RoundRobin, Stack: policy.FromSet(policy.RoundRobin(), policy.CSWhole)}},
 		{"stack-logical-clock", qithread.Config{Mode: qithread.RoundRobin, Stack: policy.New(policy.LogicalClock())}},
 	} {
@@ -327,34 +326,22 @@ func BenchmarkTurnHandoff(b *testing.B) {
 // turn mechanisms concurrently, and the vunits metric is the virtual
 // makespan, which should shrink monotonically with the domain count.
 func BenchmarkDomains(b *testing.B) {
-	for _, pinned := range []bool{false, true} {
-		mode := harness.QiThread()
-		variant := "server"
-		if pinned {
-			// Pinned rows lock each domain root to an OS thread
-			// (Config.PinDomains) so independent domains occupy real cores at
-			// GOMAXPROCS > 1; at GOMAXPROCS 1 pinning is skipped and the rows
-			// coincide with the unpinned ones. Wall-clock divergence between
-			// the two variants at -cpu 4/8 is the E18 real-parallelism signal.
-			mode = harness.QiThreadPinned()
-			variant = "server-pinned"
-		}
-		for _, nd := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/domains=%d", variant, nd), func(b *testing.B) {
-				app := workload.DomainServer(workload.DomainServerConfig{
-					Domains: nd, Workers: 3, Requests: 48,
-					AcceptWork: 60, ParseWork: 420, StateWork: 90,
-				}, benchParams)
-				var makespan int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rt := qithread.New(mode.Cfg)
-					app(rt)
-					makespan = rt.VirtualMakespan()
-				}
-				b.ReportMetric(float64(makespan), "vunits")
-			})
-		}
+	cfg := harness.QiThread().Cfg
+	for _, nd := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("server/domains=%d", nd), func(b *testing.B) {
+			app := workload.DomainServer(workload.DomainServerConfig{
+				Domains: nd, Workers: 3, Requests: 48,
+				AcceptWork: 60, ParseWork: 420, StateWork: 90,
+			}, benchParams)
+			var makespan int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rt := qithread.New(cfg)
+				app(rt)
+				makespan = rt.VirtualMakespan()
+			}
+			b.ReportMetric(float64(makespan), "vunits")
+		})
 	}
 }
 

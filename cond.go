@@ -82,7 +82,7 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 		m.owner = t
 		t.vMeet(c.vSig.Load())
 		t.vMeet(m.vRel.Load())
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		return true
 	}
 	s := c.dom.enter(t, "cond", c.name)
@@ -119,7 +119,7 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 // scheduled.
 func (c *Cond) Signal(t *Thread) {
 	if !c.rt.det() {
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		amax(&c.vSig, t.VNow())
 		c.bindMu.Lock()
 		nc := c.nc
@@ -148,7 +148,7 @@ func (c *Cond) Signal(t *Thread) {
 // Broadcast wakes all waiters in FIFO order.
 func (c *Cond) Broadcast(t *Thread) {
 	if !c.rt.det() {
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		amax(&c.vSig, t.VNow())
 		c.bindMu.Lock()
 		nc := c.nc

@@ -180,7 +180,7 @@ func (gw *Gateway) Admit(t *Thread, dst []IngressEvent) (n int, ok bool) {
 		if t.dom != gw.dom {
 			panic(fmt.Sprintf("qithread: gateway %q of %s used by %v of %s", gw.name, gw.dom.label(), t, t.dom.label()))
 		}
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		return gw.g.Admit(dst)
 	}
 	s := gw.dom.enter(t, "ingress gateway", gw.name)

@@ -52,7 +52,7 @@ func AutoTune(app workload.App) (recs []Recommendation, result TrialResult) {
 	result.Recommended = Policies(recs)
 	result.VanillaMakespan = rec.VirtualMakespan()
 
-	result.Stack = policy.StackFromAdvice(result.Recommended)
+	result.Stack = policy.CanonicalStack(result.Recommended)
 	tuned := qithread.New(qithread.Config{Mode: qithread.RoundRobin, Stack: result.Stack})
 	app(tuned)
 	result.TunedMakespan = tuned.VirtualMakespan()

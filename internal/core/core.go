@@ -107,14 +107,10 @@ func DefaultStack(mode Mode, set Policy) *policy.Stack {
 type Config struct {
 	// Mode selects the base policy. The zero value is RoundRobin.
 	Mode Mode
-	// Policies is the set of semantics-aware policies, the legacy bitmask
-	// configuration surface. When Stack is nil it is compiled down to the
-	// canonical stack via DefaultStack(Mode, Policies).
-	Policies Policy
-	// Stack, when non-nil, is the policy stack the scheduler dispatches
-	// through, overriding Mode/Policies-based construction. Callers composing
-	// custom stacks must keep the base policy consistent with Mode (the mode
-	// still selects clock accounting).
+	// Stack is the policy stack the scheduler dispatches through; required.
+	// DefaultStack compiles the canonical stack for a (Mode, Policy set)
+	// pair. Callers composing custom stacks must keep the base policy
+	// consistent with Mode (the mode still selects clock accounting).
 	Stack *policy.Stack
 	// Record enables schedule tracing. Each completed synchronization
 	// operation appends one Event to the trace.
@@ -135,10 +131,6 @@ type Config struct {
 	// traces of a partitioned execution can be merged and attributed. The
 	// default 0 is the single-domain configuration.
 	DomainID int
-	// SyncClockTick is the amount added to a thread's logical clock per
-	// executed synchronization operation in LogicalClock mode. Zero means 1.
-	// Round-robin mode ignores clocks entirely.
-	SyncClockTick int64
 	// VSyncCost is the virtual-time cost, in work units, of one
 	// synchronization operation under the turn mechanism (wrapper +
 	// scheduler queue manipulation). Zero means 12. See the virtual-time

@@ -17,14 +17,18 @@ func FuzzScheduleDeterminism(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := decodeScript(data)
-		for _, cfg := range []Config{
-			{Mode: RoundRobin, Policies: BoostBlocked},
-			{Mode: LogicalClock},
+		for _, c := range []struct {
+			mode Mode
+			set  Policy
+		}{
+			{RoundRobin, BoostBlocked},
+			{LogicalClock, NoPolicies},
 		} {
-			a := runDecoded(sc, cfg)
-			b := runDecoded(sc, cfg)
-			if !tracesEqual(a, b) {
-				t.Fatalf("nondeterministic trace under %v", cfg.Mode)
+			run := func() []Event {
+				return runDecoded(sc, Config{Mode: c.mode, Stack: DefaultStack(c.mode, c.set)})
+			}
+			if !tracesEqual(run(), run()) {
+				t.Fatalf("nondeterministic trace under %v", c.mode)
 			}
 		}
 	})

@@ -38,7 +38,7 @@ func soloLoop(cfg Config, n int) *Scheduler {
 // turn count is identical to the unleased baseline (one turn per release).
 func TestLeaseSoloThread(t *testing.T) {
 	const n = 10
-	st := soloLoop(Config{Mode: RoundRobin}, n).Stats()
+	st := soloLoop(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)}, n).Stats()
 	if st.LeaseGrants != 1 {
 		t.Fatalf("LeaseGrants = %d, want 1", st.LeaseGrants)
 	}
@@ -59,7 +59,7 @@ func TestLeaseSoloThread(t *testing.T) {
 // TestLeaseDisabled: NoLease turns the whole machinery off — every release
 // takes the queue-and-handoff path and the decision trail stays empty.
 func TestLeaseDisabled(t *testing.T) {
-	st := soloLoop(Config{Mode: RoundRobin, NoLease: true}, 10).Stats()
+	st := soloLoop(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies), NoLease: true}, 10).Stats()
 	if st.LeaseGrants != 0 || st.LeaseExtends != 0 || st.LeaseRevokes != 0 || st.LeaseHash != 0 {
 		t.Fatalf("NoLease run has lease activity: grants=%d extends=%d revokes=%d hash=%#x",
 			st.LeaseGrants, st.LeaseExtends, st.LeaseRevokes, st.LeaseHash)
@@ -72,12 +72,12 @@ func TestLeaseDisabled(t *testing.T) {
 // TestLeaseHashDeterministic: the lease decision trail is a pure function of
 // the execution — identical runs fold identical hashes.
 func TestLeaseHashDeterministic(t *testing.T) {
-	a := soloLoop(Config{Mode: RoundRobin}, 25).Stats()
-	b := soloLoop(Config{Mode: RoundRobin}, 25).Stats()
+	a := soloLoop(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)}, 25).Stats()
+	b := soloLoop(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)}, 25).Stats()
 	if a.LeaseHash != b.LeaseHash {
 		t.Fatalf("lease hashes diverged across identical runs: %#x vs %#x", a.LeaseHash, b.LeaseHash)
 	}
-	c := soloLoop(Config{Mode: RoundRobin}, 26).Stats()
+	c := soloLoop(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)}, 26).Stats()
 	if a.LeaseHash == c.LeaseHash {
 		t.Fatalf("lease hash insensitive to an extra turn: %#x", a.LeaseHash)
 	}
@@ -87,7 +87,7 @@ func TestLeaseHashDeterministic(t *testing.T) {
 // revokes it, so the holder's next release hands off and the newcomer runs.
 // Without the revocation in Register the child would never be scheduled.
 func TestLeaseRevokedOnRegister(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	a := s.Register("a")
 	childRan := false
 	done := make(chan struct{})
@@ -131,7 +131,7 @@ func TestLeaseRevokedOnRegister(t *testing.T) {
 // a leased run exactly, which is the record/replay half of trace neutrality.
 func TestLeaseDisabledDuringReplay(t *testing.T) {
 	run := func(replay []Event) (*Scheduler, []Event) {
-		s := New(Config{Mode: RoundRobin, Record: true})
+		s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies), Record: true})
 		if replay != nil {
 			s.SetReplay(replay)
 		}
@@ -172,8 +172,8 @@ func TestLeaseDisabledDuringReplay(t *testing.T) {
 // grant), so the chaos covers extend-vs-revoke at every release.
 func TestQuickLeaseTraceNeutral(t *testing.T) {
 	f := func(sc script, vetoSeed uint64) bool {
-		base := runScript(sc, Config{Mode: RoundRobin})
-		noLease := runScript(sc, Config{Mode: RoundRobin, NoLease: true})
+		base := runScript(sc, Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
+		noLease := runScript(sc, Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies), NoLease: true})
 		x := vetoSeed | 1
 		veto := func() bool {
 			// xorshift64; calls are serialized by turn ownership, so the
@@ -183,7 +183,7 @@ func TestQuickLeaseTraceNeutral(t *testing.T) {
 			x ^= x << 17
 			return x%3 == 0
 		}
-		chaotic := runScript(sc, Config{Mode: RoundRobin, LeaseVeto: veto})
+		chaotic := runScript(sc, Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies), LeaseVeto: veto})
 		return tracesEqual(base, noLease) && tracesEqual(base, chaotic)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -202,8 +202,8 @@ func TestQuickLeaseTurnCountNeutral(t *testing.T) {
 		return s.TurnCount()
 	}
 	f := func(sc script, vetoSeed uint64) bool {
-		on := count(sc, Config{Mode: RoundRobin})
-		off := count(sc, Config{Mode: RoundRobin, NoLease: true})
+		on := count(sc, Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
+		off := count(sc, Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies), NoLease: true})
 		x := vetoSeed | 1
 		veto := func() bool {
 			x ^= x << 13
@@ -211,7 +211,7 @@ func TestQuickLeaseTurnCountNeutral(t *testing.T) {
 			x ^= x << 17
 			return x%2 == 0
 		}
-		chaotic := count(sc, Config{Mode: RoundRobin, LeaseVeto: veto})
+		chaotic := count(sc, Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies), LeaseVeto: veto})
 		return on == off && on == chaotic
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

@@ -129,15 +129,16 @@ func TestQuickHookDispatchInvariants(t *testing.T) {
 	}
 }
 
-// TestQuickStackBitmaskEquivalence: any bitmask configuration and the stack
-// it compiles to via FromSet produce byte-identical traces — the compat shim
+// TestQuickStackBitmaskEquivalence: any bitmask configuration compiled by
+// DefaultStack (CanonicalStack's single-bundle construction) and the same set
+// composed via FromSet produce byte-identical traces — the bitmask surface
 // and the engine are observationally the same scheduler.
 func TestQuickStackBitmaskEquivalence(t *testing.T) {
 	f := func(sc script, bits uint8) bool {
 		set := policy.Set(bits) & policy.AllPolicies
-		legacy := runScript(sc, Config{Mode: RoundRobin, Policies: set})
+		canonical := runScript(sc, Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, set)})
 		stacked := runScript(sc, Config{Mode: RoundRobin, Stack: policy.FromSet(policy.RoundRobin(), set)})
-		return tracesEqual(legacy, stacked)
+		return tracesEqual(canonical, stacked)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -90,16 +90,21 @@ func tracesEqual(a, b []Event) bool {
 // TestQuickScheduleDeterminism: any random script produces the identical
 // trace on repeated runs, under every deterministic mode and policy setting.
 func TestQuickScheduleDeterminism(t *testing.T) {
-	for _, cfg := range []Config{
-		{Mode: RoundRobin},
-		{Mode: RoundRobin, Policies: BoostBlocked},
-		{Mode: LogicalClock},
-		{Mode: VirtualParallel},
+	for _, c := range []struct {
+		mode Mode
+		set  Policy
+	}{
+		{RoundRobin, NoPolicies},
+		{RoundRobin, BoostBlocked},
+		{LogicalClock, NoPolicies},
+		{VirtualParallel, NoPolicies},
 	} {
-		cfg := cfg
-		t.Run(cfg.Mode.String()+"/"+cfg.Policies.String(), func(t *testing.T) {
+		t.Run(c.mode.String()+"/"+c.set.String(), func(t *testing.T) {
+			run := func(sc script) []Event {
+				return runScript(sc, Config{Mode: c.mode, Stack: DefaultStack(c.mode, c.set)})
+			}
 			f := func(sc script) bool {
-				return tracesEqual(runScript(sc, cfg), runScript(sc, cfg))
+				return tracesEqual(run(sc), run(sc))
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 				t.Fatal(err)
@@ -113,7 +118,7 @@ func TestQuickScheduleDeterminism(t *testing.T) {
 // preceded by a matching wait-block from the same thread.
 func TestQuickTraceWellFormed(t *testing.T) {
 	f := func(sc script) bool {
-		tr := runScript(sc, Config{Mode: RoundRobin, Policies: BoostBlocked})
+		tr := runScript(sc, Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, BoostBlocked)})
 		ends := map[int]int{}
 		pendingWait := map[int]int{}
 		for i, e := range tr {
@@ -177,8 +182,8 @@ func TestQuickVirtualMakespanSane(t *testing.T) {
 		return s.VirtualMakespan()
 	}
 	f := func(sc script) bool {
-		rr := run(sc, Config{Mode: RoundRobin})
-		vp := run(sc, Config{Mode: VirtualParallel, VSyncCost: 12})
+		rr := run(sc, Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
+		vp := run(sc, Config{Mode: VirtualParallel, Stack: DefaultStack(VirtualParallel, NoPolicies), VSyncCost: 12})
 		return rr > 0 && vp > 0 && rr >= vp
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -189,7 +194,7 @@ func TestQuickVirtualMakespanSane(t *testing.T) {
 // TestVirtualParallelOrdersByVTime: under VirtualParallel the thread with
 // the smaller virtual clock executes its operation first.
 func TestVirtualParallelOrdersByVTime(t *testing.T) {
-	s := New(Config{Mode: VirtualParallel, Record: true})
+	s := New(Config{Mode: VirtualParallel, Stack: DefaultStack(VirtualParallel, NoPolicies), Record: true})
 	var wg sync.WaitGroup
 	ths := []*Thread{s.Register("a"), s.Register("b")}
 	for i, th := range ths {
@@ -214,7 +219,7 @@ func TestVirtualParallelOrdersByVTime(t *testing.T) {
 // TestWakeEdgeRaisesVTime: a woken thread resumes no earlier (in virtual
 // time) than its waker's wake-up operation.
 func TestWakeEdgeRaisesVTime(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	var waiterV int64
 	var wg sync.WaitGroup
 	waiter := s.Register("waiter")
@@ -245,7 +250,7 @@ func TestWakeEdgeRaisesVTime(t *testing.T) {
 // TestExitedThreadMisuse: using a thread after Exit panics with a clear
 // diagnostic instead of corrupting the queues.
 func TestExitedThreadMisuse(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	th := s.Register("t")
 	done := make(chan struct{})
 	go func() {
@@ -265,7 +270,7 @@ func TestExitedThreadMisuse(t *testing.T) {
 // TestSignalNoWaitersIsNoop: signaling an object nobody waits on neither
 // blocks nor corrupts state (pthread_cond_signal semantics).
 func TestSignalNoWaitersIsNoop(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	th := s.Register("t")
 	done := make(chan struct{})
 	go func() {

@@ -154,18 +154,13 @@ type waiter struct {
 	prev, next *waiter
 }
 
-// New creates a scheduler with the given configuration. When cfg.Stack is nil
-// the policy stack is compiled from the legacy (Mode, Policies) configuration
-// via DefaultStack.
+// New creates a scheduler with the given configuration.
 func New(cfg Config) *Scheduler {
-	if cfg.SyncClockTick == 0 {
-		cfg.SyncClockTick = 1
+	if cfg.Stack == nil {
+		panic("core: Config.Stack is required (see DefaultStack)")
 	}
 	if cfg.VSyncCost == 0 {
 		cfg.VSyncCost = 12
-	}
-	if cfg.Stack == nil {
-		cfg.Stack = DefaultStack(cfg.Mode, cfg.Policies)
 	}
 	// objName and waitLists are created lazily: a Runtime constructs one
 	// scheduler per domain, and partitioned programs create domains in bulk.
@@ -327,9 +322,8 @@ func (s *Scheduler) GetTurn(t *Thread) {
 	// holder = t before sending, so one receive suffices: on return t holds
 	// the turn without re-taking the scheduler mutex. The channel is polled
 	// briefly before parking (spin-then-park): on multi-core hosts the
-	// handoff usually lands within the spin window, which is what lets
-	// OS-thread-pinned domains trade a park/unpark round trip for a few
-	// loads.
+	// handoff usually lands within the spin window, trading a park/unpark
+	// round trip for a few loads.
 	spin.Recv(t.grant)
 }
 
@@ -359,7 +353,7 @@ func (s *Scheduler) PutTurn(t *Thread) {
 			// exact, not an approximation.
 			s.turn.Add(1)
 			if s.cfg.Mode == LogicalClock {
-				t.clock.Add(s.cfg.SyncClockTick)
+				t.clock.Add(syncClockTick)
 			}
 			s.leaseExtends.Add(1)
 			return
@@ -601,6 +595,11 @@ func (s *Scheduler) detachLocked(w *waiter) {
 	s.nWaiting--
 }
 
+// syncClockTick is the amount added to a thread's logical clock per executed
+// synchronization operation in LogicalClock mode (Kendo's deterministic
+// logical clock). Round-robin mode ignores clocks entirely.
+const syncClockTick = 1
+
 // advanceTimeLocked completes a scheduling turn: logical time advances, the
 // logical clock of the departing holder ticks (LogicalClock mode), and
 // expired timed waiters are woken in FIFO order. The lease fast path of
@@ -609,7 +608,7 @@ func (s *Scheduler) detachLocked(w *waiter) {
 func (s *Scheduler) advanceTimeLocked(t *Thread) {
 	s.turn.Add(1)
 	if s.cfg.Mode == LogicalClock {
-		t.clock.Add(s.cfg.SyncClockTick)
+		t.clock.Add(syncClockTick)
 	}
 	s.expireLocked()
 }

@@ -26,7 +26,7 @@ func runThreads(t *testing.T, s *Scheduler, n int, body func(i int, th *Thread))
 }
 
 func TestRoundRobinOrder(t *testing.T) {
-	s := New(Config{Mode: RoundRobin, Record: true})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies), Record: true})
 	var order []int
 	var mu sync.Mutex
 	runThreads(t, s, 4, func(i int, th *Thread) {
@@ -49,7 +49,7 @@ func TestRoundRobinOrder(t *testing.T) {
 }
 
 func TestTurnExclusive(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	var inTurn, max, count int
 	var mu sync.Mutex
 	runThreads(t, s, 8, func(i int, th *Thread) {
@@ -79,7 +79,7 @@ func TestTurnExclusive(t *testing.T) {
 }
 
 func TestGetTurnReentrant(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	runThreads(t, s, 1, func(i int, th *Thread) {
 		s.GetTurn(th)
 		s.GetTurn(th) // must not deadlock: already holder
@@ -93,7 +93,7 @@ func TestGetTurnReentrant(t *testing.T) {
 }
 
 func TestWaitSignalFIFO(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	const obj = uint64(99)
 	var woken []int
 	var mu sync.Mutex
@@ -139,7 +139,7 @@ func TestWaitSignalFIFO(t *testing.T) {
 }
 
 func TestBroadcastWakesAllInOrder(t *testing.T) {
-	s := New(Config{Mode: RoundRobin, Policies: BoostBlocked})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, BoostBlocked)})
 	const obj = uint64(7)
 	var woken []int
 	var mu sync.Mutex
@@ -169,7 +169,7 @@ func TestBroadcastWakesAllInOrder(t *testing.T) {
 }
 
 func TestWaitTimeout(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	runThreads(t, s, 1, func(i int, th *Thread) {
 		s.GetTurn(th)
 		st := s.Wait(th, 42, 5)
@@ -188,7 +188,7 @@ func TestWaitTimeout(t *testing.T) {
 }
 
 func TestTimeoutOrderingAmongWaiters(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	var order []int
 	var mu sync.Mutex
 	runThreads(t, s, 2, func(i int, th *Thread) {
@@ -211,7 +211,7 @@ func TestTimeoutOrderingAmongWaiters(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	deadlock := make(chan string, 1)
 	s.SetDeadlockHandler(func(msg string) {
 		select {
@@ -237,7 +237,7 @@ func TestBoostBlockedPriority(t *testing.T) {
 	// One thread is woken while two other threads sit in the run queue; with
 	// BoostBlocked the woken thread must run before them.
 	run := func(policies Policy) []int {
-		s := New(Config{Mode: RoundRobin, Policies: policies})
+		s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, policies)})
 		const obj = uint64(3)
 		var order []int
 		var mu sync.Mutex
@@ -300,7 +300,7 @@ func TestBoostBlockedPriority(t *testing.T) {
 }
 
 func TestLogicalClockMinRuns(t *testing.T) {
-	s := New(Config{Mode: LogicalClock})
+	s := New(Config{Mode: LogicalClock, Stack: DefaultStack(LogicalClock, NoPolicies)})
 	var order []int
 	var mu sync.Mutex
 	runThreads(t, s, 2, func(i int, th *Thread) {
@@ -326,7 +326,7 @@ func TestLogicalClockMinRuns(t *testing.T) {
 }
 
 func TestLogicalClockTieBreakByID(t *testing.T) {
-	s := New(Config{Mode: LogicalClock})
+	s := New(Config{Mode: LogicalClock, Stack: DefaultStack(LogicalClock, NoPolicies)})
 	var first int = -1
 	var mu sync.Mutex
 	runThreads(t, s, 3, func(i int, th *Thread) {
@@ -346,7 +346,7 @@ func TestLogicalClockTieBreakByID(t *testing.T) {
 }
 
 func TestExitRemovesThread(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	runThreads(t, s, 3, func(i int, th *Thread) {
 		if i == 0 {
 			s.GetTurn(th)
@@ -366,7 +366,7 @@ func TestExitRemovesThread(t *testing.T) {
 }
 
 func TestTraceTotalOrder(t *testing.T) {
-	s := New(Config{Mode: RoundRobin, Record: true})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies), Record: true})
 	runThreads(t, s, 3, func(i int, th *Thread) {
 		for r := 0; r < 5; r++ {
 			s.GetTurn(th)
@@ -389,7 +389,7 @@ func TestTraceTotalOrder(t *testing.T) {
 }
 
 func TestRequireTurnPanics(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	th := s.Register("t0")
 	defer func() {
 		if recover() == nil {
@@ -400,7 +400,7 @@ func TestRequireTurnPanics(t *testing.T) {
 }
 
 func TestWaitersCount(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	const obj = uint64(11)
 	runThreads(t, s, 3, func(i int, th *Thread) {
 		if i < 2 {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestStatsCounters(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	var wg sync.WaitGroup
 	waiter := s.Register("waiter")
 	signaler := s.Register("signaler")

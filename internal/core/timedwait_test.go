@@ -11,7 +11,7 @@ import (
 // tie by wait sequence, so expiry must release them in the order they parked
 // — the same order the old linear waitQ scan produced.
 func TestSameDeadlineFIFOExpiry(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies)})
 	const target = int64(50) // common deadline, far past every park turn
 	var order []int
 	var mu sync.Mutex
@@ -84,14 +84,14 @@ func timedMixWorkload(t *testing.T, s *Scheduler) {
 // identical — timeouts are logical, so the deadline heap must reproduce the
 // recorded expiry turns exactly.
 func TestReplayMixedTimeouts(t *testing.T) {
-	rec := New(Config{Mode: RoundRobin, Record: true})
+	rec := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies), Record: true})
 	timedMixWorkload(t, rec)
 	trace := rec.Trace()
 	if len(trace) == 0 {
 		t.Fatal("recording produced no events")
 	}
 
-	rep := New(Config{Mode: RoundRobin, Record: true})
+	rep := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies), Record: true})
 	rep.SetReplay(trace)
 	timedMixWorkload(t, rep)
 	if got := rep.ReplayPos(); got != len(trace) {
@@ -122,14 +122,14 @@ func TestIdleSleepJumpReplay(t *testing.T) {
 		})
 	}
 
-	rec := New(Config{Mode: RoundRobin, Record: true})
+	rec := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies), Record: true})
 	run(rec)
 	if got := rec.TurnCount(); got < 1000 {
 		t.Fatalf("turn count %d after 1000-turn sleep, want >= 1000 (idle jump)", got)
 	}
 	trace := rec.Trace()
 
-	rep := New(Config{Mode: RoundRobin, Record: true})
+	rep := New(Config{Mode: RoundRobin, Stack: DefaultStack(RoundRobin, NoPolicies), Record: true})
 	rep.SetReplay(trace)
 	run(rep)
 	if got := rep.ReplayPos(); got != len(trace) {

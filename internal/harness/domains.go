@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"qithread"
@@ -132,83 +131,6 @@ func (r *Runner) DomainBatchSweep(domains int, batches []int, mode Mode) []Domai
 		}
 	}
 	return points
-}
-
-// RealParallelPoint is one wall-clock measurement of the real-parallelism
-// experiment (EXPERIMENTS.md E18): the sharded server at a given domain
-// count, pinned or unpinned, on the host's actual core budget. Unlike the
-// virtual-makespan scaling points these numbers are host-dependent — that is
-// the point: they show whether independent scheduler domains occupy real
-// cores.
-type RealParallelPoint struct {
-	Workload   string
-	Domains    int
-	GOMAXPROCS int
-	Pinned     bool
-	// Wall is the median host wall-clock time of one full execution.
-	Wall time.Duration
-	// Makespan is the median virtual makespan, carried along so the
-	// host-independent scaling of the same runs is visible next to the
-	// wall-clock column.
-	Makespan time.Duration
-}
-
-// DomainRealParallel measures host wall-clock time of the sharded server as
-// the domain count grows, with domain roots optionally pinned to OS threads
-// (Config.PinDomains). The server's per-request work is real computation
-// (Thread.Work spins), so at GOMAXPROCS >= domains each domain can occupy its
-// own core and wall time falls with the domain count; at GOMAXPROCS 1 the
-// domains are time-sliced and wall time stays roughly flat while the virtual
-// makespan still scales (E15's host-independent result). Fingerprints are
-// unaffected either way — pinning is a pure placement hint.
-func (r *Runner) DomainRealParallel(counts []int, pinned bool) []RealParallelPoint {
-	mode := QiThread()
-	if pinned {
-		mode = QiThreadPinned()
-	}
-	server := DomainWorkloads()[0]
-	procs := runtime.GOMAXPROCS(0)
-	var points []RealParallelPoint
-	for _, nd := range counts {
-		pt := r.MeasureDomains(server, nd, 0, mode)
-		points = append(points, RealParallelPoint{
-			Workload:   server.Name,
-			Domains:    nd,
-			GOMAXPROCS: procs,
-			Pinned:     pinned,
-			Wall:       pt.Wall,
-			Makespan:   pt.Makespan,
-		})
-		r.logf("%-12s domains=%d pinned=%-5v gomaxprocs=%d  wall=%10v  makespan=%10v\n",
-			server.Name, nd, pinned, procs, pt.Wall, pt.Makespan)
-	}
-	return points
-}
-
-// WriteRealParallelCSV writes the real-parallelism points as CSV with
-// wall-clock speedups normalized to each (workload, pinned) pair's first
-// point (the 1-domain run).
-func WriteRealParallelCSV(w io.Writer, points []RealParallelPoint) {
-	fmt.Fprintln(w, "workload,domains,gomaxprocs,pinned,wall_ms,makespan_ms,wall_speedup")
-	type key struct {
-		workload string
-		pinned   bool
-	}
-	base := make(map[key]time.Duration)
-	for _, pt := range points {
-		k := key{pt.Workload, pt.Pinned}
-		if _, seen := base[k]; !seen {
-			base[k] = pt.Wall
-		}
-	}
-	for _, pt := range points {
-		speedup := 0.0
-		if b := base[key{pt.Workload, pt.Pinned}]; b > 0 && pt.Wall > 0 {
-			speedup = float64(b) / float64(pt.Wall)
-		}
-		fmt.Fprintf(w, "%s,%d,%d,%v,%.3f,%.3f,%.3f\n",
-			pt.Workload, pt.Domains, pt.GOMAXPROCS, pt.Pinned, ms(pt.Wall), ms(pt.Makespan), speedup)
-	}
 }
 
 // WriteDomainCSV writes the scaling points as CSV, with makespans normalized

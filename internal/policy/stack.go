@@ -475,11 +475,3 @@ func (b *semBundle) layers(set Set) []Policy {
 	}
 	return out
 }
-
-// StackFromAdvice builds a ready-to-run stack from an advisor
-// recommendation: round-robin base plus the recommended policy set in
-// canonical order. It is the diagnose → configure → rerun bridge used by
-// qidoctor.
-func StackFromAdvice(recommended Set) *Stack {
-	return CanonicalStack(recommended)
-}

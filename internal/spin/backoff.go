@@ -7,9 +7,10 @@ import "runtime"
 // usually refilled within a few hundred nanoseconds when another core is
 // driving the program. A blocking receive immediately descends into the Go
 // runtime's park/unpark machinery; polling the channel briefly first keeps
-// the handoff on the CPU for the common short wait, which is what makes
-// OS-thread-pinned scheduler domains profit from real cores. This is the one
-// tuned backoff implementation shared by both users.
+// the handoff on the CPU for the common short wait, when the sender runs on
+// another core (at GOMAXPROCS > 1, e.g. a peer scheduler domain or the
+// thread releasing the turn). This is the one tuned backoff implementation
+// shared by both users.
 
 const (
 	// recvSpinBudget bounds the number of non-blocking polls before Recv

@@ -72,7 +72,7 @@ func (m *Mutex) Lock(t *Thread) {
 		m.real.Lock()
 		m.owner = t
 		t.vMeet(m.vRel.Load())
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		return
 	}
 	s := m.dom.enter(t, "mutex", m.name)
@@ -106,7 +106,7 @@ func (m *Mutex) TryLock(t *Thread) bool {
 			m.owner = t
 			t.vMeet(m.vRel.Load())
 		}
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		return ok
 	}
 	s := m.dom.enter(t, "mutex", m.name)
@@ -132,7 +132,7 @@ func (m *Mutex) Unlock(t *Thread) {
 			panic("qithread: Unlock of mutex " + m.name + " not held by " + t.String())
 		}
 		m.owner = nil
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		m.vRel.Store(t.VNow()) // published before the release below
 		m.real.Unlock()
 		return

@@ -43,7 +43,7 @@ func (o *Once) Do(t *Thread, fn func()) {
 	if !o.rt.det() {
 		o.nonce.Do(func() {
 			fn()
-			t.vAdd(t.vCost())
+			t.vAdd(vSyncCostNondet)
 			o.vDone.Store(t.VNow())
 		})
 		t.vMeet(o.vDone.Load())

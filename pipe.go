@@ -261,7 +261,7 @@ func (p *XPipe) To() *Domain { return p.to }
 // the sender domain.
 func (p *XPipe) Send(t *Thread, v any) bool {
 	if !p.rt.det() {
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		p.nmu.Lock()
 		for len(p.nbuf) >= p.capacity && !p.nclosed {
 			p.ncv.Wait()
@@ -302,7 +302,7 @@ func (p *XPipe) Recv(t *Thread) (any, bool) {
 		p.ncv.Broadcast()
 		p.nmu.Unlock()
 		t.vMeet(m.vt)
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		return m.v, true
 	}
 	s := p.to.enter(t, "xpipe receiver end", p.name)
@@ -346,7 +346,7 @@ func (p *XPipe) SendAll(t *Thread, vs []any) int {
 				sent++
 			}
 			p.ncv.Broadcast()
-			t.vAdd(t.vCost())
+			t.vAdd(vSyncCostNondet)
 		}
 		p.nmu.Unlock()
 		return sent
@@ -409,7 +409,7 @@ func (p *XPipe) RecvUpTo(t *Thread, dst []any) (n int, ok bool) {
 		p.ncv.Broadcast()
 		p.nmu.Unlock()
 		t.vMeet(vmax)
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		return n, true
 	}
 	s := p.to.enter(t, "xpipe receiver end", p.name)

@@ -134,15 +134,6 @@ type Config struct {
 	// later with Runtime.NewDomain.
 	Domains int
 
-	// PinDomains locks each domain root goroutine — and the main thread for
-	// the duration of Run — to an OS thread, so independent scheduler
-	// domains run on real cores with a stable spin-then-park handoff path
-	// instead of migrating between Go scheduler Ps. Pinning is a pure
-	// placement hint: schedules, traces, and fingerprints are identical with
-	// it on or off. It is skipped automatically when GOMAXPROCS is 1, where
-	// it could only add thread churn.
-	PinDomains bool
-
 	// NoTurnLease disables the scheduler's solo-thread turn lease (the
 	// amortized release path of internal/core). The lease is trace-neutral,
 	// so this switch exists for determinism tests and for isolating lease
@@ -165,20 +156,6 @@ type Config struct {
 	// after which an incomplete soft-barrier group is released. Zero means
 	// 256 turns.
 	SoftBarrierTimeout int64
-
-	// NondetSleepUnit is the real duration of one logical sleep turn in
-	// Nondet mode, where no logical time base exists. Zero means 10µs.
-	NondetSleepUnit time.Duration
-
-	// VSyncCostDet is the virtual-time cost, in work units, of one
-	// synchronization operation under the deterministic turn mechanism
-	// (wrapper + scheduler queues). Zero means 12.
-	VSyncCostDet int64
-
-	// VSyncCostNondet is the virtual-time cost of one native
-	// synchronization operation in Nondet mode (a plain pthread op is much
-	// cheaper than a scheduled turn). Zero means 4.
-	VSyncCostNondet int64
 
 	// Replay, when non-nil, is a previously recorded schedule (Runtime.
 	// Trace) to ENFORCE: the scheduler grants turns in exactly the recorded
@@ -218,18 +195,26 @@ type Config struct {
 	Chooser func(domainID int) Chooser
 }
 
+// Virtual-time costs and the Nondet sleep unit. These are fixed model
+// parameters, not configuration: every figure and golden schedule is computed
+// with them.
+const (
+	// vSyncCostDet is the virtual-time cost, in work units, of one
+	// synchronization operation under the deterministic turn mechanism
+	// (wrapper + scheduler queues).
+	vSyncCostDet int64 = 12
+	// vSyncCostNondet is the virtual-time cost of one native synchronization
+	// operation in Nondet mode (a plain pthread op is much cheaper than a
+	// scheduled turn); the VirtualParallel baseline pays it too.
+	vSyncCostNondet int64 = 4
+	// nondetSleepUnit is the real duration of one logical sleep turn in
+	// Nondet mode, where no logical time base exists.
+	nondetSleepUnit = 10 * time.Microsecond
+)
+
 func (c Config) withDefaults() Config {
 	if c.SoftBarrierTimeout == 0 {
 		c.SoftBarrierTimeout = 256
-	}
-	if c.NondetSleepUnit == 0 {
-		c.NondetSleepUnit = 10 * time.Microsecond
-	}
-	if c.VSyncCostDet == 0 {
-		c.VSyncCostDet = 12
-	}
-	if c.VSyncCostNondet == 0 {
-		c.VSyncCostNondet = 4
 	}
 	return c
 }

@@ -48,7 +48,7 @@ func New(cfg Config) *Runtime {
 	if cfg.Mode.Deterministic() {
 		mode := core.RoundRobin
 		pol := cfg.Policies
-		cost := cfg.VSyncCostDet
+		cost := vSyncCostDet
 		switch cfg.Mode {
 		case LogicalClock:
 			mode = core.LogicalClock
@@ -57,7 +57,7 @@ func New(cfg Config) *Runtime {
 			// The ideal-parallel baseline pays native (non-turn) costs.
 			mode = core.VirtualParallel
 			pol = core.NoPolicies
-			cost = cfg.VSyncCostNondet
+			cost = vSyncCostNondet
 		}
 		// The policy stack makes every scheduling decision: the bitmask
 		// configuration compiles down to the canonical stack, while a custom
@@ -88,7 +88,7 @@ func New(cfg Config) *Runtime {
 					sink = cfg.StreamTrace(id)
 				}
 				sched := core.New(core.Config{
-					Mode: mode, Policies: pol, Stack: stk, Record: cfg.Record,
+					Mode: mode, Stack: stk, Record: cfg.Record,
 					Sink: sink, SuspendRecording: cfg.Resume != nil,
 					VSyncCost: cost, DomainID: id, NoLease: cfg.NoTurnLease,
 					Chooser: rt.domainChooser(id),
@@ -232,24 +232,12 @@ func (rt *Runtime) Run(main func(t *Thread)) {
 		t.ct = rt.sched.Register("main")
 	}
 	rt.wg.Add(1)
-	body := func() {
+	func() {
 		defer rt.wg.Done()
 		main(t)
 		t.exit()
-	}
-	if rt.pinRoots() {
-		domain.RunPinned(body)
-	} else {
-		body()
-	}
+	}()
 	rt.wg.Wait()
-}
-
-// pinRoots reports whether domain root goroutines (and Run's main thread)
-// are locked to OS threads for the run: requested by Config.PinDomains and
-// worthwhile on this host (GOMAXPROCS > 1).
-func (rt *Runtime) pinRoots() bool {
-	return rt.cfg.PinDomains && domain.PinWorthwhile()
 }
 
 // Trace returns the default domain's recorded schedule (empty unless

@@ -49,7 +49,7 @@ func (rw *RWMutex) RLock(t *Thread) {
 	if !rw.rt.det() {
 		rw.nrw.RLock()
 		t.vMeet(rw.vWRel.Load())
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		return
 	}
 	s := rw.dom.enter(t, "rwlock", rw.name)
@@ -95,7 +95,7 @@ func (rw *RWMutex) WLock(t *Thread) {
 		rw.nrw.Lock()
 		t.vMeet(rw.vWRel.Load())
 		t.vMeet(rw.vRRel.Load())
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		return
 	}
 	s := rw.dom.enter(t, "rwlock", rw.name)
@@ -140,7 +140,7 @@ func (rw *RWMutex) TryWLock(t *Thread) bool {
 // RUnlock releases a read acquisition.
 func (rw *RWMutex) RUnlock(t *Thread) {
 	if !rw.rt.det() {
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		amax(&rw.vRRel, t.VNow())
 		rw.nrw.RUnlock()
 		return
@@ -151,7 +151,7 @@ func (rw *RWMutex) RUnlock(t *Thread) {
 // WUnlock releases a write acquisition.
 func (rw *RWMutex) WUnlock(t *Thread) {
 	if !rw.rt.det() {
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		amax(&rw.vWRel, t.VNow())
 		rw.nrw.Unlock()
 		return

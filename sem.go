@@ -54,7 +54,7 @@ func (sem *Sem) Wait(t *Thread) {
 		sem.val--
 		sem.nmu.Unlock()
 		t.vMeet(sem.vPost.Load())
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		return
 	}
 	s := sem.dom.enter(t, "sem", sem.name)
@@ -130,7 +130,7 @@ func (sem *Sem) TimedWait(t *Thread, turns int64) bool {
 // semaphore.
 func (sem *Sem) Post(t *Thread) {
 	if !sem.rt.det() {
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		amax(&sem.vPost, t.VNow())
 		sem.nmu.Lock()
 		sem.val++

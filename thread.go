@@ -76,10 +76,6 @@ func (t *Thread) vMeet(v int64) {
 	}
 }
 
-// vCost is the virtual cost of one native (non-turn) synchronization
-// operation.
-func (t *Thread) vCost() int64 { return t.rt.cfg.VSyncCostNondet }
-
 // Name returns the thread's debugging name.
 func (t *Thread) Name() string { return t.name }
 
@@ -102,7 +98,7 @@ func (t *Thread) Create(name string, fn func(*Thread)) *Thread {
 	// domain is Domain.Start's job.
 	child := t.rt.newThread(name, t.dom)
 	if !t.rt.det() {
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		child.nv.Store(t.VNow())
 		t.rt.wg.Add(1)
 		spawn(func() {
@@ -149,7 +145,7 @@ func (t *Thread) Join(c *Thread) {
 	if !t.rt.det() {
 		<-c.nondetDone
 		t.vMeet(c.nv.Load())
-		t.vAdd(t.vCost())
+		t.vAdd(vSyncCostNondet)
 		return
 	}
 	s := t.dom.sched
@@ -227,13 +223,13 @@ func (t *Thread) Yield() {
 
 // Sleep suspends the thread for the given number of logical turns,
 // corresponding to Parrot's wait(NULL, timeout) logical sleep. In Nondet mode
-// it sleeps for turns*Config.NondetSleepUnit of real time.
+// it sleeps for turns*nondetSleepUnit of real time.
 func (t *Thread) Sleep(turns int64) {
 	if turns <= 0 {
 		return
 	}
 	if !t.rt.det() {
-		time.Sleep(t.rt.cfg.NondetSleepUnit * time.Duration(turns))
+		time.Sleep(nondetSleepUnit * time.Duration(turns))
 		t.vAdd(turns)
 		return
 	}
